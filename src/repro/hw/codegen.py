@@ -39,6 +39,7 @@ from ..runtime.errors import (
 from ..runtime.heap import GuestArray, GuestObject
 from ..runtime.interpreter import compare, guest_div, guest_mod, wrap_int
 from .isa import CompiledMethod, MInstr, MOp
+from .timing import uop_timing
 
 #: physical registers available to the allocator (rest are scratch).
 TOTAL_REGS = 32
@@ -84,6 +85,9 @@ class CodeGenerator:
         copies = lower_phis(self.graph)
         self._emit_all(copies)
         instrs, num_spills, param_locs = self._allocate_registers()
+        for instr in instrs:
+            # Allocation has rewritten the registers: the fields are final.
+            instr.timing = uop_timing(instr)
         compiled = CompiledMethod(
             name=self.graph.method_name,
             num_params=self.graph.num_params,

@@ -167,6 +167,11 @@ class MInstr:
     #: diagnostics: bytecode pc / abort id this uop derives from.
     src_pc: int | None = None
     abort_id: int | None = None
+    #: static timing facts (:func:`repro.hw.timing.uop_timing`), derived
+    #: once from the final, post-register-allocation fields; not part of
+    #: value semantics.
+    timing: object = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op.name.lower()]

@@ -231,9 +231,10 @@ class Machine:
         which, under the harness's measurement protocol, is *inside* the
         measured window.  The VM calls this at method-install time so
         measured samples run pure steady state.  Purely a warm-up:
-        executing without it is observationally identical.
+        executing without it is observationally identical.  A traced
+        machine always runs the interpretive loop, so it builds nothing.
         """
-        if self.dispatch == "interpretive":
+        if self.dispatch == "interpretive" or self.tracer.enabled:
             return
         if self._jit_tier:
             jm = get_jitted(compiled, self)

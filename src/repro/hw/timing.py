@@ -17,11 +17,24 @@ Atomic-region costs follow §6.3 / Figure 9:
 - the "single-inflight" configuration stalls a begin at decode until the
   previous region's commit retires;
 - an abort drains the pipeline like a branch mispredict.
+
+Per-uop work is kept to the dynamic part.  Everything the model needs to
+know about a uop that does not change between executions — the source
+registers it waits on, its kind (ALU, load, store, atomic RMW), whether
+it is a lock-word store, its base latency and its destination — is
+derived once into a :class:`UopTiming` descriptor stored on the
+:class:`~repro.hw.isa.MInstr`.  Code generation derives it right after
+register allocation (which rewrites the register fields); hand-assembled
+code gets it on its first timed execution.  :meth:`TimingModel.uop` is
+the one entry point for all three dispatch tiers and reads only the
+descriptor and the memory address.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
+from typing import NamedTuple
 
 from .branchpred import CombiningPredictor
 from .cache import MemoryHierarchy
@@ -45,6 +58,56 @@ LOCK_STORE_LATENCY = 16
 
 #: front-end serialization charged at a VM call boundary.
 CALL_BOUNDARY_CYCLES = 4
+
+#: execution kinds of a :class:`UopTiming`.
+ALU, LOAD, STORE, ATOMIC = range(4)
+
+
+class UopTiming(NamedTuple):
+    """The static timing facts of one uop (its timing descriptor)."""
+
+    #: registers whose values the uop waits for (deduplicated).
+    srcs: tuple[int, ...]
+    #: ``ALU``, ``LOAD``, ``STORE`` or ``ATOMIC`` (read-modify-write).
+    kind: int
+    #: a lock-word store: serializes on the line like an RMW.
+    storelock: bool
+    #: execution latency; a load with an address takes the cache's.
+    latency: int
+    #: register the result lands in.
+    dst: int | None
+
+
+def uop_timing(instr: MInstr) -> UopTiming:
+    """Derive ``instr``'s descriptor from its current fields.
+
+    Register allocation rewrites ``a``/``b``/``c``/``dst``/``args``, so
+    code generation derives descriptors only after it (see
+    :meth:`repro.hw.codegen.CodeGenerator.generate`).
+    """
+    op = instr.op
+    regs = (instr.a, instr.b, instr.c, *instr.args)
+    srcs = tuple(dict.fromkeys(r for r in regs if r is not None and r >= 0))
+    if op in STORE_MOPS:
+        kind = STORE
+        latency = LOCK_STORE_LATENCY if op is MOp.STORELOCK else 1
+    elif op in ATOMIC_MOPS:
+        kind = ATOMIC
+        latency = LOCK_STORE_LATENCY
+    else:
+        # A load without an address times like an ALU uop.
+        kind = LOAD if op in LOAD_MOPS else ALU
+        latency = ALU_LATENCY.get(op, DEFAULT_LATENCY)
+    return _shared(UopTiming(srcs, kind, op is MOp.STORELOCK, latency,
+                             instr.dst))
+
+
+@lru_cache(maxsize=4096)
+def _shared(desc: UopTiming) -> UopTiming:
+    """One instance per distinct descriptor.  Identical uops are common
+    (one workload's methods compile alike in every VM), so sharing
+    keeps descriptors from adding per-instruction memory."""
+    return desc
 
 
 class TimingModel:
@@ -73,6 +136,11 @@ class TimingModel:
         self._last_region_commit = 0.0
         self._record_commit_next = False
         self.uops = 0
+        # Config fields read on every uop.
+        self._window_size = config.instruction_window
+        self._fetch_width = config.fetch_width
+        self._retire_width = config.retire_width
+        self._mispredict_penalty = config.branch_mispredict_penalty
 
     # -- per-uop processing ------------------------------------------------
     def branch(self, pc: int, taken: bool) -> bool:
@@ -84,79 +152,82 @@ class TimingModel:
 
     def uop(self, instr: MInstr, mem_address: int | None) -> None:
         """Account one retired uop."""
+        desc = instr.timing
+        if desc is None:
+            # Hand-assembled code; generated code carries its descriptors.
+            desc = instr.timing = uop_timing(instr)
+        srcs, kind, storelock, latency, dst = desc
         self.uops += 1
-        config = self.config
 
         # Fetch: width-limited, gated by window occupancy.
-        if len(self._window) >= config.instruction_window:
-            oldest = self._window.popleft()
-            if oldest > self._fetch_cycle:
-                self._fetch_cycle = oldest
-                self._fetched_this_cycle = 0
-        if self._fetched_this_cycle >= config.fetch_width:
-            self._fetch_cycle += 1.0
-            self._fetched_this_cycle = 0
-        dispatch = self._fetch_cycle
-        self._fetched_this_cycle += 1
+        window = self._window
+        fetch = self._fetch_cycle
+        fetched = self._fetched_this_cycle
+        if len(window) >= self._window_size:
+            oldest = window.popleft()
+            if oldest > fetch:
+                fetch = oldest
+                fetched = 0
+        if fetched >= self._fetch_width:
+            fetch += 1.0
+            fetched = 0
+        fetched += 1
 
         # Issue: wait for register inputs.
-        ready = dispatch
-        for src in (instr.a, instr.b, instr.c):
-            if src is not None and src >= 0:
-                ready = max(ready, self._reg_ready[src])
-        for src in instr.args:
-            if src >= 0:
-                ready = max(ready, self._reg_ready[src])
+        ready = fetch
+        reg_ready = self._reg_ready
+        for src in srcs:
+            r = reg_ready[src]
+            if r > ready:
+                ready = r
 
-        # Execute.
-        op = instr.op
-        if op in LOAD_MOPS and mem_address is not None:
-            forwarded = self._store_ready.get(mem_address)
-            if forwarded is not None and forwarded > ready:
-                ready = forwarded  # store-to-load dependency
-            latency = self.memory.access(mem_address)
-        elif op in STORE_MOPS:
+        # Execute: an ALU uop takes its descriptor's latency as is.
+        if kind == LOAD:
+            if mem_address is not None:
+                forwarded = self._store_ready.get(mem_address)
+                if forwarded is not None and forwarded > ready:
+                    ready = forwarded  # store-to-load dependency
+                latency = self.memory.access(mem_address)
+        elif kind == STORE:
             if mem_address is not None:
                 self.memory.access(mem_address)
-            latency = LOCK_STORE_LATENCY if op is MOp.STORELOCK else 1
-            if op is MOp.STORELOCK and mem_address is not None:
-                # RMW semantics: lock-word updates serialize on the line —
-                # the monitor-chain cost SLE removes (§3.3, §6.1).
-                prior = self._store_ready.get(mem_address)
-                if prior is not None and prior > ready:
-                    ready = prior
-            if mem_address is not None:
-                self._store_ready[mem_address] = ready + latency
-        elif op in ATOMIC_MOPS:
+                store_ready = self._store_ready
+                if storelock:
+                    # RMW semantics: lock-word updates serialize on the
+                    # line — the monitor-chain cost SLE removes (§3.3,
+                    # §6.1).
+                    prior = store_ready.get(mem_address)
+                    if prior is not None and prior > ready:
+                        ready = prior
+                store_ready[mem_address] = ready + latency
+        elif kind == ATOMIC and mem_address is not None:
             # Atomic RMW: one cache access, lock-class latency, and full
             # serialization against prior RMWs/stores on the same address —
             # contended FAA/CAS chains cost what a lock-word chain costs.
-            if mem_address is not None:
-                self.memory.access(mem_address)
-                prior = self._store_ready.get(mem_address)
-                if prior is not None and prior > ready:
-                    ready = prior
-            latency = LOCK_STORE_LATENCY
-            if mem_address is not None:
-                self._store_ready[mem_address] = ready + latency
-        else:
-            latency = ALU_LATENCY.get(op, DEFAULT_LATENCY)
+            self.memory.access(mem_address)
+            store_ready = self._store_ready
+            prior = store_ready.get(mem_address)
+            if prior is not None and prior > ready:
+                ready = prior
+            store_ready[mem_address] = ready + latency
         complete = ready + latency
 
-        if instr.dst is not None:
-            self._reg_ready[instr.dst] = complete
+        if dst is not None:
+            reg_ready[dst] = complete
 
         # In-order retirement at retire_width per cycle.
-        retire = max(complete, self._retire_cycle)
-        if retire == self._retire_cycle:
-            self._retired_this_cycle += 1
-            if self._retired_this_cycle >= config.retire_width:
-                retire += 1.0
-                self._retired_this_cycle = 0
+        retire = self._retire_cycle
+        if complete > retire:
+            retire = complete
+            retired = 1
         else:
-            self._retired_this_cycle = 1
+            retired = self._retired_this_cycle + 1
+            if retired >= self._retire_width:
+                retire += 1.0
+                retired = 0
         self._retire_cycle = retire
-        self._window.append(retire)
+        self._retired_this_cycle = retired
+        window.append(retire)
 
         if self._record_commit_next:
             self._last_region_commit = retire
@@ -165,10 +236,12 @@ class TimingModel:
         # Branch misprediction bubble: fetch resumes after resolution.
         if self._pending_mispredict:
             self._pending_mispredict = False
-            self._fetch_cycle = max(
-                self._fetch_cycle, complete + config.branch_mispredict_penalty
-            )
-            self._fetched_this_cycle = 0
+            resume = complete + self._mispredict_penalty
+            if resume > fetch:
+                fetch = resume
+            fetched = 0
+        self._fetch_cycle = fetch
+        self._fetched_this_cycle = fetched
 
     # -- region events --------------------------------------------------------
     def region_begin(self) -> None:

@@ -159,6 +159,25 @@ class TestMachineEmission:
         aborts = [e for e in tracer.events if e.kind == "region_abort"]
         assert any(e.arg("reason") == "assert" for e in aborts)
 
+    @pytest.mark.parametrize("dispatch", ["auto", "jit", "predecoded"])
+    def test_traced_vm_builds_no_fast_tier_caches(self, dispatch):
+        """A traced machine only ever runs the interpretive loop, so
+        method install must not pre-decode or JIT-compile anything."""
+        workload = get_workload("hsqldb")
+        sample = workload.samples[0]
+        vm = TieredVM(
+            workload.build(),
+            compiler_config=ATOMIC,
+            options=VMOptions(compile_threshold=3, dispatch=dispatch),
+            tracer=Tracer(),
+        )
+        vm.warm_up(workload.entry, [list(a) for a in sample.warm_args])
+        vm.compile_hot(min_invocations=1)
+        assert vm.compiled
+        for record in vm.compiled.values():
+            assert record.compiled._jitted is None
+            assert record.compiled._predecoded is None
+
 
 class TestChromeExport:
     def test_real_trace_validates(self, traced_run):

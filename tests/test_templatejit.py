@@ -21,6 +21,9 @@ Regenerate intentionally with::
 from __future__ import annotations
 
 import os
+import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
+from repro.hw import templatejit
 from repro.hw.config import BASELINE_4WIDE
 from repro.hw.isa import CompiledMethod, MInstr, MOp
 from repro.hw.machine import Machine
@@ -41,6 +45,8 @@ from repro.hw.templatejit import (
 from repro.obs.tracer import Tracer
 from repro.runtime.heap import Heap
 from repro.testutil.uopgen import run_uop_case, uop_case
+from repro.vm import ATOMIC, TieredVM, VMOptions
+from repro.workloads import get_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -276,6 +282,149 @@ class TestCacheEviction:
         assert jm.table(False) is untimed  # cached, not rebuilt
         timed = jm.table(True)
         assert timed is not untimed
+
+
+# -- code memo ------------------------------------------------------------------
+
+def _fused(table: list, compiled: CompiledMethod) -> list:
+    """The fused-run functions of one dispatch table."""
+    return [table[start] for start, _end in fused_runs(compiled)]
+
+
+def _jit_vm(workload):
+    """A jit-dispatch VM of sample 0, warmed and compiled."""
+    vm = TieredVM(workload.build(), compiler_config=ATOMIC,
+                  options=VMOptions(compile_threshold=3, dispatch="jit"))
+    sample = workload.samples[0]
+    vm.warm_up(workload.entry, [list(a) for a in sample.warm_args])
+    vm.compile_hot(min_invocations=1)
+    return vm
+
+
+class TestCodeMemo:
+    """JIT code objects are memoized by the digest of their source; only
+    the code is shared, never the functions or their globals."""
+
+    def test_two_vms_share_code_not_functions(self):
+        workload = get_workload("hsqldb")
+        vm_a, vm_b = _jit_vm(workload), _jit_vm(workload)
+        shared = 0
+        for name, record in vm_a.compiled.items():
+            code_a = record.compiled
+            code_b = vm_b.compiled[name].compiled
+            table_a = code_a._jitted.table(True)
+            table_b = code_b._jitted.table(True)
+            for fn_a, fn_b in zip(_fused(table_a, code_a),
+                                  _fused(table_b, code_b)):
+                assert fn_a.__code__ is fn_b.__code__
+                assert fn_a is not fn_b
+                assert fn_a.__globals__ is not fn_b.__globals__
+                assert fn_a.__globals__["H"] is code_a._predecoded.handlers
+                assert fn_b.__globals__["H"] is code_b._predecoded.handlers
+                shared += 1
+        assert shared > 0
+
+    def test_key_covers_profile_and_immediates(self):
+        """A memo keyed by method name would hand back stale code here:
+        the name is the same, the emitted constants are not."""
+        case = uop_case(COMMITTING_REGION_SEED)
+        machine = Machine(case.program, Heap(), config=BASELINE_4WIDE,
+                          stats=ExecStats(), dispatch="jit")
+        start = fused_runs(case.compiled)[0][0]
+        code = get_jitted(case.compiled, machine).table(False)[start].__code__
+
+        wide_lines = BASELINE_4WIDE.scaled(
+            name="memo-lines",
+            l1_config=replace(BASELINE_4WIDE.l1_config, line_bytes=128))
+        other = uop_case(COMMITTING_REGION_SEED)
+        wide = Machine(other.program, Heap(), config=wide_lines,
+                       stats=ExecStats(), dispatch="jit")
+        assert wide._jit_profile.line_shift != machine._jit_profile.line_shift
+        assert (get_jitted(other.compiled, wide).table(False)[start].__code__
+                is not code)
+
+        plain, bumped = _golden_method(), _golden_method()
+        start, const = next(
+            (run_start, instr)
+            for run_start, run_end in fused_runs(bumped)
+            for instr in bumped.instrs[run_start:run_end]
+            if instr.op is MOp.CONST)
+        const.imm += 1
+        assert (get_jitted(bumped, machine).table(False)[start].__code__
+                is not get_jitted(plain, machine).table(False)[start].__code__)
+
+    def test_cap_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(templatejit, "_CODE_MEMO_CAP", 2)
+        monkeypatch.setattr(templatejit, "_code_memo", type(
+            templatejit._code_memo)())
+        code_for = templatejit._code_for
+        first = code_for("x = 1\n", "<memo-a>")
+        second = code_for("x = 2\n", "<memo-b>")
+        assert code_for("x = 1\n", "<memo-a>") is first  # hit: now newest
+        code_for("x = 3\n", "<memo-c>")
+        assert len(templatejit._code_memo) == 2
+        assert code_for("x = 1\n", "<memo-a>") is first
+        assert code_for("x = 2\n", "<memo-b>") is not second  # evicted
+
+    def test_concurrent_callers_under_eviction(self, monkeypatch):
+        """Threads hitting and evicting the same entries at once must
+        each get the code of the source they asked for."""
+        monkeypatch.setattr(templatejit, "_CODE_MEMO_CAP", 2)
+        monkeypatch.setattr(templatejit, "_code_memo", type(
+            templatejit._code_memo)())
+        errors: list = []
+
+        def worker(tid: int) -> None:
+            try:
+                for i in range(300):
+                    n = (tid + i) % 5
+                    code = templatejit._code_for(f"x = {n}\n",
+                                                 f"<memo-{n}>")
+                    namespace: dict = {}
+                    exec(code, namespace)
+                    assert namespace["x"] == n
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(tid,))
+                       for tid in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(templatejit._code_memo) <= 2
+
+    def test_disable_region_leaves_other_vm_untouched(self):
+        case_a = uop_case(COMMITTING_REGION_SEED)
+        case_b = uop_case(COMMITTING_REGION_SEED)
+        assert run_uop_case(case_a, "jit")[0] == ("value", 1)
+        expected_b = run_uop_case(case_b, "jit")
+        assert expected_b[0] == ("value", 1)
+        jitted_b = case_b.compiled._jitted
+        table_b = jitted_b.table(False)
+        functions_b = list(table_b)
+
+        case_a.compiled.disable_region(1)
+        patched = run_uop_case(case_a, "jit")
+        assert patched[0] == ("value", DISABLED_SENTINEL)
+        table_a = case_a.compiled._jitted.table(False)
+        start = fused_runs(case_a.compiled)[0][0]
+        # The rebuilt fused code may share its code object with B's, but
+        # it runs against A's fresh handlers.
+        assert (table_a[start].__globals__["H"]
+                is case_a.compiled._predecoded.handlers)
+        assert case_b.compiled._jitted is jitted_b
+        assert jitted_b.table(False) is table_b
+        assert table_b == functions_b
+        assert table_b[start].__globals__["H"] is jitted_b._handlers
+        assert run_uop_case(case_b, "jit") == expected_b
 
 
 # -- fallback gating ----------------------------------------------------------
