@@ -8,17 +8,18 @@ method's decoded uops, partitions every basic block into maximal runs of
 per run, registers resolved to list indexes, immediates/field names/
 branch targets baked in as constants, and the per-uop bookkeeping
 collapsed into batched counter flushes at the run's exit points
-(superinstruction fusion).  The source is ``compile()``/``exec()``d once
-and cached on the :class:`~repro.hw.isa.CompiledMethod` alongside the
-pre-decode arrays, under the same ``disable_region``/recompile
-invalidation.
+(superinstruction fusion).  The source is ``compile()``d one function
+at a time (a whole-module ``compile()`` of the largest methods would
+hold every function's parse tree at once), ``exec()``d once, and cached
+on the :class:`~repro.hw.isa.CompiledMethod` alongside the pre-decode
+arrays, under the same ``disable_region``/recompile invalidation.
 
 Host ``compile()`` is memoized by the sha256 of each variant's source
-(:func:`_code_for`, a bounded LRU): the same method compiled in another
-VM, or for another hardware configuration with the same
-:class:`JitProfile` (core width, region-begin cost), emits identical
-source.  Only the code object is
-shared.  Every method still ``exec()``s it into a namespace of its own,
+(:func:`_code_for`, a bounded LRU of per-function code objects): the
+same method compiled in another VM, or for another hardware
+configuration with the same :class:`JitProfile` (core width,
+region-begin cost), emits identical source.  Only the code objects are
+shared.  Every method still ``exec()``s them into a namespace of its own,
 so the fused functions, their handler array ``H`` and their instruction
 tuple ``I`` stay per method, and a bail or a ``disable_region`` in one
 method never reaches another's code.
@@ -697,42 +698,61 @@ def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
 # Compilation and caching
 # ---------------------------------------------------------------------------
 
-#: how many code objects :func:`_code_for` keeps, least recently used
-#: going first.  Repeats of a source come close together (the samples of
-#: one cell, the cells of one method under several hardware configs):
-#: over all figure cells and the steady windows' set-up, 8 entries
-#: already catch every repeat.  A larger memo would only keep the code of
-#: finished VMs alive, and a long-lived process must not grow it.
+#: how many compiled variants :func:`_code_for` keeps, least recently
+#: used going first.  Repeats of a source come close together (the
+#: samples of one cell, the cells of one method under several hardware
+#: configs): over all figure cells and the steady windows' set-up, 8
+#: entries already catch every repeat.  A larger memo would only keep the
+#: code of finished VMs alive, and a long-lived process must not grow it.
 _CODE_MEMO_CAP = 8
 
-#: sha256 of a variant's source -> its host code object.
-_code_memo: OrderedDict[bytes, CodeType] = OrderedDict()
+#: sha256 of a variant's source -> its host code objects, one per chunk.
+_code_memo: OrderedDict[bytes, tuple[CodeType, ...]] = OrderedDict()
 _code_memo_lock = threading.Lock()
 
 
-def _code_for(source: str, filename: str) -> CodeType:
-    """``compile(source)``, memoized by the source's digest.
+def _compile_chunks(source: str, filename: str) -> tuple[CodeType, ...]:
+    """``compile()`` each top-level ``def`` of ``source`` on its own
+    (plus whatever precedes the first one).
+
+    One ``compile()`` of a whole variant holds the parse tree and
+    compiler state of every fused function at once: a ~40 MB allocation
+    peak for the largest variant in the figure sweep (149 functions, 14k
+    lines), ~3 MB chunk by chunk, at the same host time.  Each chunk is
+    padded with the newlines that precede it, so every code object keeps
+    the line numbers it has in ``source``.
+    """
+    lines = source.splitlines(keepends=True)
+    starts = [i for i, line in enumerate(lines) if line.startswith("def ")]
+    bounds = sorted({0, *starts, len(lines)})
+    return tuple(
+        compile("\n" * lo + "".join(lines[lo:hi]), filename, "exec")
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+
+
+def _code_for(source: str, filename: str) -> tuple[CodeType, ...]:
+    """:func:`_compile_chunks`, memoized by the source's digest.
 
     The same method compiled in another VM, or for another hardware
     config with the same :class:`JitProfile`, emits identical source.
-    Only the code object is shared: every caller still ``exec()``s it
+    Only the code objects are shared: every caller still ``exec()``s them
     into a namespace of its own.  ``filename`` is a function of the
     source (the header names the method, the function names the
-    variant), so a shared code object reports the same file as a fresh
-    one.
+    variant), so shared code reports the same file as fresh code.
     """
     key = hashlib.sha256(source.encode()).digest()
     with _code_memo_lock:
-        code = _code_memo.get(key)
-        if code is not None:
+        codes = _code_memo.get(key)
+        if codes is not None:
             _code_memo.move_to_end(key)
-            return code
-    code = compile(source, filename, "exec")
+            return codes
+    codes = _compile_chunks(source, filename)
     with _code_memo_lock:
-        _code_memo[key] = code
+        _code_memo[key] = codes
         if len(_code_memo) > _CODE_MEMO_CAP:
             _code_memo.popitem(last=False)
-    return code
+    return codes
 
 
 def _build_table(jm: JittedMethod, timed: bool) -> list:
@@ -754,7 +774,8 @@ def _build_table(jm: JittedMethod, timed: bool) -> list:
         "_te": _trap_error,
     }
     variant = "t" if timed else "u"
-    exec(_code_for(source, f"<jit:{compiled.name}:{variant}>"), namespace)
+    for code in _code_for(source, f"<jit:{compiled.name}:{variant}>"):
+        exec(code, namespace)
     table = list(jm._handlers)
     for start, _end in jm.runs:
         table[start] = namespace[f"_f{start}_{variant}"]

@@ -116,6 +116,9 @@ class ProfileStore:
     def __contains__(self, qualified_name: str) -> bool:
         return qualified_name in self._methods
 
+    def __len__(self) -> int:
+        return len(self._methods)
+
     def snapshot_invocations(self) -> dict[str, int]:
         return {name: prof.invocations for name, prof in self._methods.items()}
 

@@ -11,10 +11,22 @@ For deterministic experiments, the harness drives the tiers explicitly:
 machine code, ``start_measurement`` resets the statistics and the timing
 model, and the measured calls then run on the final code, exactly like the
 paper's marker-delimited samples.
+
+Warm-up is pure tier-0 profiling, so its outcome is a function of the
+program, the entry and the warm-up arguments alone.  A process-wide
+store (:data:`WARM_SNAPSHOTS`) keeps the post-warm-up heap, profiles and
+interpreter counters keyed by the sha256 of exactly those inputs; a
+*pristine* VM warming up on a stored input restores a fresh copy instead
+of interpreting (DESIGN.md "Warm-up snapshots").  Every other VM
+interprets as before.
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..faults import FaultInjector, FaultPlan
@@ -26,7 +38,7 @@ from ..lang.bytecode import Method, Program
 from ..lang.validate import validate_program
 from ..obs.tracer import NULL_TRACER
 from ..runtime.errors import VMError
-from ..runtime.heap import Heap, Value
+from ..runtime.heap import GuestObject, Heap, Value
 from ..runtime.interpreter import Interpreter
 from ..runtime.profile import ProfileStore
 from ..runtime.sched import DeterministicScheduler, SchedulePlan
@@ -46,6 +58,105 @@ class VMOptions:
     #: "interpretive" (always the instrumented slow loop).  See
     #: :class:`repro.hw.machine.Machine`.
     dispatch: str = "auto"
+
+
+#: how many warm-up snapshots :data:`WARM_SNAPSHOTS` keeps, least
+#: recently used going first.  ``figure_cells()`` warms up on 7 distinct
+#: inputs (every sample of a benchmark shares one warm-up list), and a
+#: snapshot holds 5-35 guest allocations (at most ~0.11 MB), so this
+#: never evicts during a figure sweep and bounds a long-lived process.
+_WARM_SNAPSHOT_CAP = 32
+
+
+class WarmSnapshots:
+    """A thread-safe LRU of pickled post-warm-up VM state.
+
+    Values are ``pickle.dumps((heap, profiles, bytecodes_executed,
+    safepoints_polled))``; every hit unpickles a fresh copy, so no two VMs
+    ever share guest objects or profile counters.  ``restores`` and
+    ``interpretations`` count the warm-ups served each way.  This holds
+    compiler *inputs*, not results: ``experiment.clear_cache()`` leaves it
+    alone.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self._cap = cap
+        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
+        self._lock = threading.Lock()
+        self.restores = 0
+        self.interpretations = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: bytes) -> bytes | None:
+        with self._lock:
+            blob = self._entries.get(key)
+            if blob is not None:
+                self._entries.move_to_end(key)
+                self.restores += 1
+            return blob
+
+    def put(self, key: bytes, blob: bytes) -> None:
+        with self._lock:
+            self._entries[key] = blob
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._cap:
+                self._entries.popitem(last=False)
+
+    def count_interpretation(self) -> None:
+        with self._lock:
+            self.interpretations += 1
+
+    def clear(self) -> None:
+        """Drop every snapshot and zero both counters."""
+        with self._lock:
+            self._entries.clear()
+            self.restores = 0
+            self.interpretations = 0
+
+
+#: the store every :meth:`TieredVM.warm_up` consults.
+WARM_SNAPSHOTS = WarmSnapshots(_WARM_SNAPSHOT_CAP)
+
+
+def _method_image(method: Method) -> tuple:
+    return (
+        method.name, method.owner, method.synchronized,
+        method.num_params, method.num_regs,
+        tuple(
+            (i.op.value, i.dst, i.a, i.b, i.c, i.imm, i.cond, i.target,
+             i.cls, i.fieldname, i.method, i.args)
+            for i in method.instrs
+        ),
+    )
+
+
+def warm_up_key(program: Program, entry: str,
+                args_list: list[list[Value]]) -> bytes | None:
+    """sha256 over everything a tier-0 warm-up's outcome depends on: the
+    program's content (every class with its fields, super and methods;
+    every static method; ``program.entry``), the entry name and the
+    warm-up arguments.  None (never snapshot) when an argument is not a
+    plain integer or null, e.g. a reference into some other heap."""
+    for args in args_list:
+        for value in args:
+            if value is not None and type(value) is not int:
+                return None
+    image = (
+        tuple(
+            (key, cls.name, tuple(cls.fields), cls.super_name,
+             tuple((name, _method_image(m))
+                   for name, m in cls.methods.items()))
+            for key, cls in program.classes.items()
+        ),
+        tuple((name, _method_image(m)) for name, m in program.methods.items()),
+        program.entry,
+        entry,
+        tuple(tuple(args) for args in args_list),
+    )
+    return hashlib.sha256(repr(image).encode()).digest()
 
 
 class TieredVM:
@@ -266,8 +377,21 @@ class TieredVM:
         phase, so no method's profile is frozen mid-warm-up with only a
         handful of branch samples (which would misclassify warm edges as
         cold and create spurious asserts).
+
+        On a pristine VM (see :meth:`_pristine`) the outcome is looked up
+        in :data:`WARM_SNAPSHOTS` by :func:`warm_up_key`: a hit restores a
+        copy of the stored heap, profiles and interpreter counters, a
+        miss interprets and stores them.  Any other VM interprets.
         """
         method = self.program.resolve_static(entry)
+        key = (warm_up_key(self.program, entry, args_list)
+               if self._pristine() else None)
+        if key is not None:
+            blob = WARM_SNAPSHOTS.get(key)
+            if blob is not None:
+                self._restore(blob)
+                return
+        WARM_SNAPSHOTS.count_interpretation()
         previous = self.options.auto_compile
         self.options.auto_compile = False
         try:
@@ -275,6 +399,47 @@ class TieredVM:
                 self.interpreter.invoke(method, list(args))
         finally:
             self.options.auto_compile = previous
+        if key is None:
+            return
+        interp = self.interpreter
+        try:
+            blob = pickle.dumps(
+                (self.heap, self.profiles, interp.bytecodes_executed,
+                 interp.safepoints_polled),
+                protocol=pickle.HIGHEST_PROTOCOL)
+        except (RecursionError, pickle.PicklingError):
+            return  # e.g. a guest graph too deep to pickle: store nothing
+        WARM_SNAPSHOTS.put(key, blob)
+
+    def _pristine(self) -> bool:
+        """Nothing has run on this VM yet, so a warm-up's outcome is a
+        function of the program and its arguments alone."""
+        interp = self.interpreter
+        return (
+            self.heap.mark() == Heap().mark()  # cursor, counts, log
+            and not self.heap.reservations
+            and len(self.profiles) == 0
+            and interp.bytecodes_executed == 0
+            and interp.safepoints_polled == 0
+            and interp.fuel is None
+            and interp.sched is None
+            and self.machine.sched is None
+            and not self.compiled
+        )
+
+    def _restore(self, blob: bytes) -> None:
+        """Install a snapshot into this VM's own ``Heap`` and
+        ``ProfileStore`` (the machine and the interpreter hold them)."""
+        heap, profiles, bytecodes, safepoints = pickle.loads(blob)
+        vars(self.heap).update(vars(heap))
+        vars(self.profiles).update(vars(profiles))
+        for obj in self.heap.allocations:
+            if isinstance(obj, GuestObject):
+                # Share the program's layout dict, as an interpreted
+                # NEW does, instead of the unpickled copy.
+                obj.field_index = self.program.field_layout(obj.class_name)
+        self.interpreter.bytecodes_executed = bytecodes
+        self.interpreter.safepoints_polled = safepoints
 
     def start_measurement(self) -> None:
         """Begin a timing sample: fresh statistics and timing state."""

@@ -211,8 +211,39 @@ class TestKillAndResume:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        # A session of its own makes the sweep and its pool workers one
+        # process group, so the workers a SIGKILL orphans can be reaped.
         return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL, text=True)
+                                stderr=subprocess.DEVNULL, text=True,
+                                start_new_session=True)
+
+    @staticmethod
+    def _live_members(pgid: int) -> list[int]:
+        """Pids of the group's processes that are not zombies."""
+        members = []
+        for entry in Path("/proc").iterdir():
+            if not entry.name.isdigit():
+                continue
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue  # exited while we looked
+            # fields after "(comm)": state ppid pgrp ...
+            state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+            if int(pgrp) == pgid and state != "Z":
+                members.append(int(entry.name))
+        return members
+
+    def _kill_group(self, pgid: int) -> None:
+        """SIGKILL whatever is left of the group; assert none survives."""
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        deadline = time.monotonic() + 10.0
+        while self._live_members(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert self._live_members(pgid) == []
 
     def test_sigkill_midflight_then_resume(self, tmp_path):
         journal = tmp_path / "sweep.journal"
@@ -229,17 +260,21 @@ class TestKillAndResume:
                 time.sleep(0.05)
             interrupted = first.poll() is None
             if interrupted:
-                first.send_signal(signal.SIGKILL)
+                first.send_signal(signal.SIGKILL)  # the parent only
             first.wait(timeout=30)
         finally:
             if first.poll() is None:
                 first.kill()
+            self._kill_group(first.pid)
 
         journaled = Journal(journal).load()
         assert journaled, "no cell completed before the kill"
         resume = self._spawn(journal, manifest=tmp_path / "resume.json",
                              expect_resume=interrupted)
-        stdout, _ = resume.communicate(timeout=120)
+        try:
+            stdout, _ = resume.communicate(timeout=120)
+        finally:
+            self._kill_group(resume.pid)
         assert resume.returncode == 0, stdout
         payload = json.loads(stdout.strip().splitlines()[-1])
         assert payload["identical_to_serial"] is True

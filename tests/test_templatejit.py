@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -359,6 +360,7 @@ class TestCodeMemo:
             templatejit._code_memo)())
         code_for = templatejit._code_for
         first = code_for("x = 1\n", "<memo-a>")
+        assert len(first) == 1  # no def: one chunk
         second = code_for("x = 2\n", "<memo-b>")
         assert code_for("x = 1\n", "<memo-a>") is first  # hit: now newest
         code_for("x = 3\n", "<memo-c>")
@@ -378,10 +380,11 @@ class TestCodeMemo:
             try:
                 for i in range(300):
                     n = (tid + i) % 5
-                    code = templatejit._code_for(f"x = {n}\n",
-                                                 f"<memo-{n}>")
+                    codes = templatejit._code_for(f"x = {n}\n",
+                                                  f"<memo-{n}>")
                     namespace: dict = {}
-                    exec(code, namespace)
+                    for code in codes:
+                        exec(code, namespace)
                     assert namespace["x"] == n
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -425,6 +428,53 @@ class TestCodeMemo:
         assert table_b == functions_b
         assert table_b[start].__globals__["H"] is jitted_b._handlers
         assert run_uop_case(case_b, "jit") == expected_b
+
+    def test_largest_variant_builds_under_memory_bound(self, monkeypatch):
+        """jython's ``work`` under ``atomic``/4-wide is the largest fused
+        variant in the figure sweep (149 functions, ~14k lines).  One
+        whole-module ``compile()`` of its timed source peaks at ~40 MB of
+        Python allocations; compiled function by function, building the
+        table peaks at ~3 MB."""
+        monkeypatch.setattr(templatejit, "_code_memo", type(
+            templatejit._code_memo)())
+        workload = get_workload("jython")
+        vm = TieredVM(workload.build(), compiler_config=ATOMIC,
+                      options=VMOptions(compile_threshold=3,
+                                        dispatch="predecoded"))
+        sample = workload.samples[0]
+        vm.warm_up(workload.entry, [list(a) for a in sample.warm_args])
+        vm.compile_hot(min_invocations=1)
+        work = vm.compiled["work"].compiled
+        jm = templatejit.jit_compile(work, vm.machine)
+        assert len(jm.runs) > 100
+        tracemalloc.start()
+        try:
+            jm.table(True)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_chunked_code_keeps_source_line_numbers(self):
+        """Every fused function's code starts at its ``def`` line in the
+        variant source, exactly as under a whole-module compile."""
+        compiled = _golden_method()
+        machine = Machine(uop_case(COMMITTING_REGION_SEED).program, Heap(),
+                          config=BASELINE_4WIDE, stats=ExecStats(),
+                          dispatch="jit")
+        runs = fused_runs(compiled)
+        for timed in (False, True):
+            source = templatejit._variant_source(
+                compiled, machine._jit_profile, runs, timed)
+            lines = source.splitlines()
+            table = get_jitted(compiled, machine).table(timed)
+            for fn in _fused(table, compiled):
+                code = fn.__code__
+                assert lines[code.co_firstlineno - 1].startswith(
+                    f"def {code.co_name}(fr):")
+                last = max(line for _s, _e, line in code.co_lines()
+                           if line is not None)
+                assert last <= len(lines)
 
 
 # -- fallback gating ----------------------------------------------------------
